@@ -358,6 +358,12 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| bad(self))?
             .parse()
             .map_err(|_| bad(self))?;
+        if nv > crate::Var::MAX_INDEX as usize + 1 {
+            return Err(ParseDimacsError::new(
+                self.line,
+                ParseDimacsErrorKind::TooManyVariables(nv),
+            ));
+        }
         let nc: usize = self
             .next_token()
             .ok_or_else(|| bad(self))?
@@ -506,6 +512,24 @@ mod tests {
     fn reject_variable_out_of_range() {
         let e = parse_cnf("p cnf 2 1\n1 5 0\n").unwrap_err();
         assert_eq!(e.kind, ParseDimacsErrorKind::VariableOutOfRange(5));
+    }
+
+    #[test]
+    fn reject_unaddressable_variable_count() {
+        // No literal above `Var::MAX_INDEX` parses, so a larger declared
+        // count is rejected before any per-variable state is allocated.
+        let over = crate::Var::MAX_INDEX as usize + 2;
+        for e in [
+            parse_cnf("p cnf 3000000000 1\n1 0\n").unwrap_err(),
+            parse_wcnf("p wcnf 3000000000 1 10\n10 1 0\n").unwrap_err(),
+            parse_cnf(&format!("p cnf {over} 0\n")).unwrap_err(),
+        ] {
+            assert!(
+                matches!(e.kind, ParseDimacsErrorKind::TooManyVariables(n) if n >= over),
+                "{e}"
+            );
+            assert_eq!(e.line, 1);
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@ pub enum ParseDimacsErrorKind {
     UnterminatedClause,
     /// A literal referenced a variable above the header's declared count.
     VariableOutOfRange(i32),
+    /// The header declared more variables than a literal can address
+    /// (above `Var::MAX_INDEX + 1`); no clause could use them, and
+    /// allocating per-variable state for them could exhaust memory.
+    TooManyVariables(usize),
     /// More clauses appeared than the header declared.
     TooManyClauses,
     /// An I/O error occurred while reading.
@@ -51,6 +55,11 @@ impl fmt::Display for ParseDimacsError {
             ParseDimacsErrorKind::VariableOutOfRange(v) => {
                 write!(f, "literal {v} exceeds declared variable count")
             }
+            ParseDimacsErrorKind::TooManyVariables(n) => write!(
+                f,
+                "declared variable count {n} exceeds the maximum {}",
+                crate::Var::MAX_INDEX as usize + 1
+            ),
             ParseDimacsErrorKind::TooManyClauses => {
                 write!(f, "more clauses than declared in header")
             }

@@ -152,7 +152,7 @@ impl LinearCore {
                     // selectors and the bound gate are free at the clause
                     // level and the ge1 clauses are satisfiable on their
                     // own, so only the hard clauses can be contradictory.
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         stats.absorb_sat(&engine.stats());
                         return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
                     }

@@ -166,7 +166,7 @@ impl MaxSatSolver for Msu1 {
                     // only cite hard clauses (every selector is free at the
                     // clause level, and exactly-one constraints are
                     // satisfiable on their own): infeasible.
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         stats.absorb_sat(&engine.stats());
                         return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
                     }

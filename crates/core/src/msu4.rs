@@ -260,7 +260,7 @@ impl MaxSatSolver for Msu4 {
                     // gates are free at the clause level, ge1 clauses are
                     // satisfiable on their own) — and the pre-check
                     // already ran, so this is a late hard refutation.
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         stats.absorb_sat(&engine.stats());
                         return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
                     }
@@ -418,7 +418,7 @@ fn minimize_failed_assumptions(engine: &mut IncrementalSolver, budget: &Budget) 
         let mut candidate = core.clone();
         candidate.remove(i);
         match engine.solve_exact(&candidate) {
-            SolveOutcome::Unsat if !engine.formula_refuted() => {
+            SolveOutcome::Unsat if engine.is_ok() => {
                 // Still UNSAT without it: adopt the failed subset of the
                 // candidate (often several literals smaller at once).
                 let failed: Vec<Lit> = engine.failed_assumptions().to_vec();

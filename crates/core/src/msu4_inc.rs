@@ -152,9 +152,9 @@ impl MaxSatSolver for Msu4Incremental {
         let mut ub = num_soft;
         let mut best_model: Option<coremax_cnf::Assignment> = None;
         // Whether any cardinality-bound clauses were materialised: a
-        // clause-level refutation *before* that can only involve the
-        // hard clauses (relaxed softs are unrefutable — their selectors
-        // are free), i.e. the instance is infeasible.
+        // refutation *before* that can only involve the hard clauses
+        // (relaxed softs are unrefutable — their selectors are free),
+        // i.e. the instance is infeasible.
         let mut bounds_added = false;
 
         loop {
@@ -174,7 +174,7 @@ impl MaxSatSolver for Msu4Incremental {
                 }
                 SolveOutcome::Unsat => {
                     stats.unsat_iterations += 1;
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         // Refuted independently of the assumptions: either
                         // the hard clauses are inconsistent (infeasible) or
                         // the accumulated bounds are (current ub optimal —

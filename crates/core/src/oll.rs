@@ -298,7 +298,7 @@ impl MaxSatSolver for Oll {
                 }
                 SolveOutcome::Unsat => {
                     stats.unsat_iterations += 1;
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         stats.absorb_sat(&engine.stats());
                         // Refuted independently of every assumption.
                         // Before any hardening this can only cite hard

@@ -188,7 +188,7 @@ impl MaxSatSolver for Wmsu1 {
                     // selectors are free at the clause level and the
                     // exactly-one constraints are satisfiable on their
                     // own, so the instance has no feasible assignment.
-                    if engine.formula_refuted() {
+                    if !engine.is_ok() {
                         stats.absorb_sat(&engine.stats());
                         return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
                     }

@@ -450,17 +450,11 @@ impl IncrementalSolver {
         ids
     }
 
-    /// Whether the last UNSAT refuted the clauses *independently of the
-    /// assumptions*. With every soft selector free this can only cite
+    /// Returns `false` once the clauses have been refuted *independently
+    /// of the assumptions* (every further solve is trivially UNSAT).
+    /// With every soft selector free such a refutation can only rest on
     /// hard clauses (and any permanently added constraints), which is
     /// how drivers separate "infeasible" from "core found".
-    #[must_use]
-    pub fn formula_refuted(&self) -> bool {
-        self.solver.unsat_core().is_some()
-    }
-
-    /// Returns `false` once the clauses have been refuted outright
-    /// (every further solve is trivially UNSAT).
     #[must_use]
     pub fn is_ok(&self) -> bool {
         self.solver.is_ok()
@@ -502,7 +496,7 @@ mod tests {
             let s0 = e.add_soft([lit(x, false)]);
             let s1 = e.add_soft([lit(x, true)]);
             assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
-            assert!(!e.formula_refuted(), "assumption-level core only");
+            assert!(e.is_ok(), "assumption-level core only");
             assert_eq!(e.failed_softs(), vec![s0]);
             e.deactivate(s0);
             assert_eq!(e.solve(&[]), SolveOutcome::Sat);
@@ -540,7 +534,6 @@ mod tests {
             e.add_clause([lit(x, false)]);
             let _s = e.add_soft([lit(x, true)]);
             assert_eq!(e.solve(&[]), SolveOutcome::Unsat);
-            assert!(e.formula_refuted());
             assert!(!e.is_ok());
         }
     }

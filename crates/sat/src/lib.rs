@@ -1,4 +1,4 @@
-//! A CDCL SAT solver with clause-level unsatisfiable-core extraction.
+//! A CDCL SAT solver with failed-assumption unsatisfiable cores.
 //!
 //! This crate provides the SAT substrate required by the core-guided
 //! MaxSAT algorithms of Marques-Silva & Planes (DATE 2008). It is a
@@ -16,12 +16,12 @@
 //! - learned-clause database reduction ordered by literal block
 //!   distance (LBD) first and activity second, with glue-clause
 //!   protection, followed by clause-arena garbage collection,
-//! - solving under assumptions with failed-assumption extraction,
-//! - **resolution-trace unsatisfiable cores**: every clause carries an
-//!   id, learned clauses record their antecedents, and when the formula
-//!   is refuted the final conflict is resolved back to a set of
-//!   *original* clause ids — exactly the facility MiniSAT 1.14's proof
-//!   logger gave the paper's msu4 implementation,
+//! - solving under assumptions with failed-assumption extraction —
+//!   the source of every unsatisfiable core. The paper's msu4 took its
+//!   cores from MiniSAT 1.14's proof logger; here each soft clause `ω`
+//!   is loaded as `ω ∨ s` under a fresh selector `s`, the solver
+//!   assumes `¬s`, and the failed selectors of an UNSAT answer name
+//!   the core (see [`IncrementalSolver`]),
 //! - cooperative **clause sharing** between diversified portfolio
 //!   workers (the [`share`] module): purity-tracked export of low-LBD
 //!   learned clauses implied by the instance's hard clauses alone, with
@@ -36,14 +36,19 @@
 //! let mut solver = Solver::new();
 //! let x = solver.new_var();
 //! let y = solver.new_var();
-//! // (x ∨ y) ∧ (¬x) ∧ (¬y): unsatisfiable.
-//! let c0 = solver.add_clause([Lit::positive(x), Lit::positive(y)]);
-//! let c1 = solver.add_clause([Lit::negative(x)]);
-//! let c2 = solver.add_clause([Lit::negative(y)]);
-//! assert_eq!(solver.solve(), SolveOutcome::Unsat);
-//! let core = solver.unsat_core().expect("core available after UNSAT");
-//! // The whole formula is the (only) core here.
-//! assert_eq!(core, &[c0, c1, c2]);
+//! let z = solver.new_var();
+//! // (x ∨ y) ∧ (¬x) ∧ (¬y ∨ s) with selector s: (¬y) is enforced while
+//! // ¬s is assumed, and z is noise.
+//! let s = solver.new_var();
+//! solver.add_clause([Lit::positive(x), Lit::positive(y)]);
+//! solver.add_clause([Lit::negative(x)]);
+//! solver.add_clause([Lit::negative(y), Lit::positive(s)]);
+//! let assumptions = [Lit::negative(s), Lit::positive(z)];
+//! assert_eq!(solver.solve_with_assumptions(&assumptions), SolveOutcome::Unsat);
+//! // The clauses alone are satisfiable; the selector is to blame.
+//! assert!(solver.is_ok());
+//! assert_eq!(solver.failed_assumptions(), &[Lit::negative(s)]);
+//! assert_eq!(solver.solve(), SolveOutcome::Sat);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,10 +63,8 @@ mod luby;
 pub mod share;
 mod solver;
 mod stats;
-mod trace;
 
 pub use budget::Budget;
-pub use clause_db::ClauseId;
 pub use dpll::{dpll_is_satisfiable, dpll_max_satisfiable};
 pub use incremental::{EngineMode, IncrementalSolver, SoftId};
 pub use share::{ClauseExchange, ExchangeEndpoint, ExchangeTotals, SharedContext, SharingConfig};

@@ -3,7 +3,10 @@
 //! when heuristics are handicapped.
 
 use coremax_cnf::{CnfFormula, Lit, Var};
-use coremax_sat::{dpll_is_satisfiable, RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{
+    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
+    SolverConfig, SolverStats,
+};
 
 fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula {
     let mut next = move || {
@@ -24,6 +27,29 @@ fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula
         f.add_clause(lits);
     }
     f
+}
+
+/// Loads every clause of `f` as a soft clause `cᵢ ∨ sᵢ` and solves with
+/// all of them enforced. Returns the engine's stats and, when `f` is
+/// UNSAT, the core: the clauses named by the failed selectors.
+fn soft_core(f: &CnfFormula, config: SolverConfig) -> (SolverStats, Option<CnfFormula>) {
+    let mut engine = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+    engine.ensure_vars(f.num_vars());
+    for c in f.iter() {
+        engine.add_soft(c.lits().iter().copied());
+    }
+    let core = match engine.solve(&[]) {
+        SolveOutcome::Sat => None,
+        SolveOutcome::Unsat => {
+            let mut sub = CnfFormula::with_vars(f.num_vars());
+            for id in engine.failed_softs() {
+                sub.add_clause(f.clause(id.0).lits().iter().copied());
+            }
+            Some(sub)
+        }
+        SolveOutcome::Unknown => unreachable!("no budget"),
+    };
+    (engine.stats(), core)
 }
 
 fn configs() -> Vec<(&'static str, SolverConfig)> {
@@ -113,14 +139,7 @@ fn all_configs_extract_sound_cores() {
     for _ in 0..20 {
         let f = random_cnf(&mut seed, 6, 22);
         for (name, config) in configs() {
-            let mut solver = Solver::with_config(config);
-            solver.add_formula(&f);
-            if solver.solve() == SolveOutcome::Unsat {
-                let core = solver.unsat_core().expect("core").to_vec();
-                let mut sub = CnfFormula::with_vars(f.num_vars());
-                for id in &core {
-                    sub.add_clause(f.clause(id.index()).lits().iter().copied());
-                }
+            if let Some(sub) = soft_core(&f, config).1 {
                 assert!(
                     !dpll_is_satisfiable(&sub),
                     "config {name} produced a satisfiable core"
@@ -148,27 +167,22 @@ fn tiny_learnt_db_forces_deletions() {
             }
         }
     }
-    let mut solver = Solver::with_config(SolverConfig {
-        learntsize_factor: 0.01,
-        learntsize_inc: 1.001,
-        min_learnts: 5.0,
-        ..SolverConfig::default()
-    });
-    solver.add_formula(&f);
-    assert_eq!(solver.solve(), SolveOutcome::Unsat);
+    let (stats, core) = soft_core(
+        &f,
+        SolverConfig {
+            learntsize_factor: 0.01,
+            learntsize_inc: 1.001,
+            min_learnts: 5.0,
+            ..SolverConfig::default()
+        },
+    );
     assert!(
-        solver.stats().deleted_clauses > 0,
-        "expected database reductions: {}",
-        solver.stats()
+        stats.deleted_clauses > 0,
+        "expected database reductions: {stats}"
     );
     // Core must still be sound after deletions.
-    let core = solver.unsat_core().expect("core").to_vec();
-    let mut sub = CnfFormula::with_vars(f.num_vars());
-    for id in &core {
-        sub.add_clause(f.clause(id.index()).lits().iter().copied());
-    }
     let mut check = Solver::new();
-    check.add_formula(&sub);
+    check.add_formula(&core.expect("pigeonhole is UNSAT"));
     assert_eq!(check.solve(), SolveOutcome::Unsat);
 }
 

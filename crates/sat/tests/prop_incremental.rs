@@ -126,7 +126,7 @@ fn check_rounds(rounds: Vec<Round>, config: SolverConfig) {
                 // given assumptions whose conjunction with the formula
                 // is unsatisfiable) — not necessarily the minimal one a
                 // fresh solver would report.
-                if persistent.unsat_core().is_none() {
+                if persistent.is_ok() {
                     let failed = persistent.failed_assumptions().to_vec();
                     for a in &failed {
                         prop_assert!(assumptions.contains(a), "{} was never assumed", a);
@@ -141,9 +141,12 @@ fn check_rounds(rounds: Vec<Round>, config: SolverConfig) {
         }
 
         if !persistent.is_ok() {
-            // The formula itself is refuted: every later round is UNSAT
-            // regardless of assumptions, which the fresh comparison
-            // would confirm round by round. Stop early.
+            // A refutation must be sound: the clauses so far are UNSAT
+            // with no assumptions at all.
+            prop_assert!(!oracle(&so_far, &[]), "refuted a satisfiable formula");
+            // Every later round is UNSAT regardless of assumptions,
+            // which the fresh comparison would confirm round by round.
+            // Stop early.
             break;
         }
     }
@@ -194,7 +197,10 @@ proptest! {
             let po = p.solve(&assumptions);
             let ro = r.solve(&assumptions);
             prop_assert_eq!(po, ro, "engine modes disagree");
-            if po == SolveOutcome::Unsat && !p.formula_refuted() {
+            // Every stored clause is `ω ∨ s` with a fresh selector `s`,
+            // so the clauses alone can never be refuted.
+            prop_assert!(p.is_ok() && r.is_ok(), "soft-only engine refuted");
+            if po == SolveOutcome::Unsat {
                 for e in &mut engines {
                     // The failed softs plus the formula-level failed
                     // assumptions must form a genuinely UNSAT subset.

@@ -1,9 +1,12 @@
 //! Property tests: the CDCL solver agrees with the reference DPLL on
-//! random small formulas, models satisfy every clause, and extracted
-//! cores are themselves unsatisfiable.
+//! random small formulas, models satisfy every clause, and
+//! selector-assumption cores are themselves unsatisfiable.
 
 use coremax_cnf::{CnfFormula, Lit};
-use coremax_sat::{dpll_is_satisfiable, RestartMode, SolveOutcome, Solver, SolverConfig};
+use coremax_sat::{
+    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
+    SolverConfig,
+};
 use proptest::prelude::*;
 
 /// A configuration that stresses every new hot-path mechanism at once:
@@ -20,6 +23,33 @@ fn stress_config() -> SolverConfig {
         glucose_lbd_window: 5,
         ..SolverConfig::default()
     }
+}
+
+/// Loads every clause of `f` as a soft clause `cᵢ ∨ sᵢ` and solves with
+/// all of them enforced. Returns the positions of the clauses named by
+/// the failed selectors, or `None` when `f` is satisfiable.
+fn soft_core(f: &CnfFormula, config: SolverConfig) -> Option<Vec<usize>> {
+    let mut engine = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+    engine.ensure_vars(f.num_vars());
+    for c in f.iter() {
+        engine.add_soft(c.lits().iter().copied());
+    }
+    let outcome = engine.solve(&[]);
+    assert!(engine.is_ok(), "soft clauses alone are never refuted");
+    match outcome {
+        SolveOutcome::Sat => None,
+        SolveOutcome::Unsat => Some(engine.failed_softs().iter().map(|id| id.0).collect()),
+        SolveOutcome::Unknown => unreachable!("no budget set"),
+    }
+}
+
+/// The clauses of `f` at the given positions.
+fn sub_formula(f: &CnfFormula, core: &[usize]) -> CnfFormula {
+    let mut sub = CnfFormula::with_vars(f.num_vars());
+    for &i in core {
+        sub.add_clause(f.clause(i).lits().iter().copied());
+    }
+    sub
 }
 
 /// Strategy: random CNF over `max_vars` variables with clauses of length
@@ -51,6 +81,8 @@ proptest! {
             SolveOutcome::Unknown => unreachable!("no budget set"),
         };
         prop_assert_eq!(got, expected);
+        // Without assumptions, every UNSAT answer refutes the formula.
+        prop_assert_eq!(s.is_ok(), expected);
     }
 
     #[test]
@@ -67,21 +99,14 @@ proptest! {
 
     #[test]
     fn cores_are_unsatisfiable(f in arb_cnf(7, 25)) {
-        let mut s = Solver::new();
-        let ids = s.add_formula(&f);
-        if s.solve() == SolveOutcome::Unsat {
-            let core = s.unsat_core().expect("core after UNSAT").to_vec();
+        let core = soft_core(&f, SolverConfig::default());
+        prop_assert_eq!(core.is_none(), dpll_is_satisfiable(&f));
+        if let Some(core) = core {
             prop_assert!(!core.is_empty());
-            // Every id must be one we added.
-            for id in &core {
-                prop_assert!(ids.contains(id));
-            }
+            // Every position must name a clause we added.
+            prop_assert!(core.iter().all(|&i| i < f.num_clauses()));
             // The core alone must be UNSAT (checked by the reference DPLL).
-            let mut sub = CnfFormula::with_vars(f.num_vars());
-            for id in &core {
-                sub.add_clause(f.clause(id.index()).lits().iter().copied());
-            }
-            prop_assert!(!dpll_is_satisfiable(&sub), "core was satisfiable");
+            prop_assert!(!dpll_is_satisfiable(&sub_formula(&f, &core)), "core was satisfiable");
         }
     }
 
@@ -129,19 +154,13 @@ proptest! {
     fn cores_survive_arena_gc(f in arb_cnf(7, 30)) {
         // Cores extracted after (possibly many) arena compactions must
         // still be genuinely unsatisfiable subsets of the input.
-        let mut s = Solver::with_config(stress_config());
-        let ids = s.add_formula(&f);
-        if s.solve() == SolveOutcome::Unsat {
-            let core = s.unsat_core().expect("core after UNSAT").to_vec();
+        if let Some(core) = soft_core(&f, stress_config()) {
             prop_assert!(!core.is_empty());
-            for id in &core {
-                prop_assert!(ids.contains(id));
-            }
-            let mut sub = CnfFormula::with_vars(f.num_vars());
-            for id in &core {
-                sub.add_clause(f.clause(id.index()).lits().iter().copied());
-            }
-            prop_assert!(!dpll_is_satisfiable(&sub), "core was satisfiable after GC");
+            prop_assert!(core.iter().all(|&i| i < f.num_clauses()));
+            prop_assert!(
+                !dpll_is_satisfiable(&sub_formula(&f, &core)),
+                "core was satisfiable after GC"
+            );
         }
     }
 

@@ -4,7 +4,7 @@
 use coremax::{verify_solution, MaxSatSolver, MaxSatStatus, Msu4};
 use coremax_circuits::{atpg, builders, debug, miter, seq, transform, tseitin};
 use coremax_cnf::{dimacs, WcnfFormula};
-use coremax_sat::{SolveOutcome, Solver};
+use coremax_sat::{IncrementalSolver, SolveOutcome, Solver};
 
 #[test]
 fn adder_equivalence_pipeline() {
@@ -20,16 +20,24 @@ fn adder_equivalence_pipeline() {
     solver.add_clause([enc.output_lits[0]]);
     assert_eq!(solver.solve(), SolveOutcome::Unsat);
 
-    let core = solver.unsat_core().expect("core").to_vec();
+    // The same clauses under selectors: the failed selectors name the
+    // core. The output assertion is the last soft clause.
+    let mut engine = IncrementalSolver::new();
+    engine.ensure_vars(enc.formula.num_vars());
+    for c in enc.formula.iter() {
+        engine.add_soft(c.lits().iter().copied());
+    }
+    engine.add_soft([enc.output_lits[0]]);
+    assert_eq!(engine.solve(&[]), SolveOutcome::Unsat);
+    let core = engine.failed_softs();
     assert!(!core.is_empty());
-    // Replay only the core (plus the output assertion, which has the
-    // last clause id) and confirm it is unsatisfiable on its own.
+    // Replay only the core and confirm it is unsatisfiable on its own.
     let mut replay = Solver::new();
     replay.ensure_vars(enc.formula.num_vars());
     let total = enc.formula.num_clauses();
     for id in &core {
-        if id.index() < total {
-            replay.add_clause(enc.formula.clause(id.index()).lits().iter().copied());
+        if id.0 < total {
+            replay.add_clause(enc.formula.clause(id.0).lits().iter().copied());
         } else {
             replay.add_clause([enc.output_lits[0]]);
         }
