@@ -1,12 +1,11 @@
 //! msu1 — Fu & Malik's core-guided algorithm (reference \[11\]).
 
-use std::time::Instant;
-
-use coremax_cards::{encode_exactly, CardEncoding, CnfSink};
+use coremax_cards::{encode_exactly, CardEncoding};
 use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SoftId, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreGuidedRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Fu & Malik's algorithm (SAT 2006), the paper's msu1.
 ///
@@ -41,7 +40,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 pub struct Msu1 {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
 }
 
 impl Default for Msu1 {
@@ -57,7 +55,6 @@ impl Msu1 {
         Msu1 {
             encoding: CardEncoding::Pairwise,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
     }
 
@@ -67,16 +64,7 @@ impl Msu1 {
         Msu1 {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -94,37 +82,11 @@ impl MaxSatSolver for Msu1 {
             wcnf.is_unweighted(),
             "msu1 handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let mut cost: usize = 0;
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
-
-        // One engine for the whole run: hard clauses once, each soft
-        // registered with a selector and enforced by assumption (the
-        // working formula treats softs as mandatory; relaxation happens
-        // through the blocking literals Fu–Malik adds *inside* them).
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause(h.lits().iter().copied());
-        }
+        // One engine for the whole run: each soft is registered with a
+        // selector and enforced by assumption (the working formula
+        // treats softs as mandatory; relaxation happens through the
+        // blocking literals Fu–Malik adds *inside* them).
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, None);
         // Current working copy of each soft clause: its literals (which
         // grow blocking variables over time) and its live handle.
         let mut soft: Vec<Vec<Lit>> = wcnf
@@ -134,99 +96,63 @@ impl MaxSatSolver for Msu1 {
             .collect();
         let mut handles: Vec<SoftId> = soft
             .iter()
-            .map(|lits| engine.add_soft(lits.iter().copied()))
+            .map(|lits| run.engine.add_soft(lits.iter().copied()))
             .collect();
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Every extracted core charged one unit: the
-                    // accumulated cost is a certified lower bound even
-                    // though no incumbent exists yet (the first SAT
-                    // answer would already be optimal).
-                    return finish(MaxSatStatus::Unknown, None, cost, None, stats);
-                }
+            match run.solve(&[]) {
+                // Every extracted core charged one unit: the lower bound
+                // is certified even though no incumbent exists yet (the
+                // first SAT answer would already be optimal).
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Sat => {
-                    let model = engine.model().expect("model after SAT").clone();
-                    stats.absorb_sat(&engine.stats());
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: cost as u64,
-                            ub: Some(cost as u64),
-                        });
-                    }
-                    return finish(MaxSatStatus::Optimal, Some(cost), cost, Some(model), stats);
+                    run.offer_model();
+                    return run.optimal();
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
+                    run.stats.unsat_iterations += 1;
                     // A refutation independent of the soft assumptions can
                     // only cite hard clauses (every selector is free at the
                     // clause level, and exactly-one constraints are
                     // satisfiable on their own): infeasible.
-                    if !engine.is_ok() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                    if !run.engine.is_ok() {
+                        return run.infeasible();
                     }
-                    stats.cores += 1;
-                    let failed = engine.failed_softs();
+                    let failed = run.engine.failed_softs();
                     let in_core: Vec<usize> = failed
                         .iter()
                         .filter_map(|id| handles.iter().position(|h| h == id))
                         .collect();
                     if in_core.is_empty() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                        return run.infeasible();
                     }
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: in_core.len() as u64,
-                            weight: 1,
-                        });
-                    }
+                    run.count_core(in_core.len(), 1);
                     // Fresh blocking variable per soft core clause. The
                     // stored clause cannot be mutated in place, so the old
                     // copy is retired and the extended clause registered as
                     // a new soft under a fresh selector.
+                    let engine = &mut run.engine;
                     let mut fresh: Vec<Lit> = Vec::with_capacity(in_core.len());
                     for &i in &in_core {
                         let b = Lit::positive(engine.new_var());
                         soft[i].push(b);
                         fresh.push(b);
-                        stats.blocking_vars += 1;
+                        run.stats.blocking_vars += 1;
                         engine.retire(handles[i]);
                         handles[i] = engine.add_soft(soft[i].iter().copied());
                     }
                     // Exactly one of the fresh variables is spent.
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_exactly(&fresh, 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let new_clauses = sink.into_clauses();
-                    stats.cardinality_clauses += new_clauses.len() as u64;
-                    let clauses_added = new_clauses.len() as u64;
-                    for c in new_clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    cost += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: fresh.len() as u64,
-                            clauses: clauses_added,
-                        });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: cost as u64,
-                            ub: None,
-                        });
-                    }
+                    let ((), clauses) =
+                        run.encode(None, |sink| encode_exactly(&fresh, 1, self.encoding, sink));
+                    coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                        blocking_vars: fresh.len() as u64,
+                        clauses,
+                    });
+                    run.bounds.charge(1);
                 }
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, None, cost, None, stats);
+            if run.budget.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -235,6 +161,7 @@ impl MaxSatSolver for Msu1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 

@@ -1,12 +1,11 @@
 //! The msu4 algorithm — Algorithm 1 of the paper.
 
-use std::time::Instant;
+use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cnf::{Assignment, Lit, WcnfFormula, Weight};
+use coremax_sat::{Budget, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
-use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
-
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::{soft_cost, CoreGuidedRun};
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Configuration of the [`Msu4`] solver.
 #[derive(Debug, Clone)]
@@ -79,7 +78,6 @@ impl Default for Msu4Config {
 pub struct Msu4 {
     config: Msu4Config,
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -114,17 +112,8 @@ impl Msu4 {
         Msu4 {
             config,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 
     /// The active configuration.
@@ -156,65 +145,32 @@ impl MaxSatSolver for Msu4 {
             wcnf.is_unweighted(),
             "msu4 handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let num_soft = wcnf.num_soft();
-
         // Bounds in *cost* space: lb = the paper's νU (each disjointly
         // refuted core forces one more falsified clause, Prop. 1);
-        // ub = the paper's νBV (best model found, Prop. 2).
-        let mut lb: usize = 0;
-        let mut ub: usize = num_soft;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
-
-        // One engine for the whole run.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        // ub = the paper's νBV (best model found, Prop. 2), |soft| before
+        // the first model.
+        let num_soft = wcnf.num_soft() as Weight;
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, self.shared.clone());
 
         // Feasibility pre-check: cores are not guaranteed minimal, so a
         // hard-only contradiction could otherwise hide inside a mixed
         // core and the termination argument of Algorithm 1 (which assumes
         // plain MaxSAT) would return a bogus optimum. Running it on the
         // same engine seeds the clause database before the softs arrive.
-        let mut hard_model: Option<coremax_cnf::Assignment> = None;
+        // Its model is the incumbent of last resort at exit.
+        let mut hard_model: Option<Assignment> = None;
         if wcnf.num_hard() > 0 {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unsat => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Unknown, None, 0, None, stats);
-                }
-                SolveOutcome::Sat => {
-                    hard_model = engine.model().cloned();
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unsat => return run.infeasible(),
+                SolveOutcome::Unknown => return run.unknown(),
+                SolveOutcome::Sat => hard_model = run.engine.model().cloned(),
             }
         }
+        let exit_model = |run: &mut CoreGuidedRun| {
+            if let (None, Some(m)) = (run.bounds.ub(), &hard_model) {
+                run.bounds.offer(soft_cost(wcnf, m), m);
+            }
+        };
 
         // Selector per soft clause; an *unblocked* clause is one whose
         // selector assumption is still active, and blocking it merely
@@ -223,7 +179,7 @@ impl MaxSatSolver for Msu4 {
         let handles: Vec<SoftId> = wcnf
             .soft_clauses()
             .iter()
-            .map(|s| engine.add_soft(s.clause.lits().iter().copied()))
+            .map(|s| run.engine.add_soft(s.clause.lits().iter().copied()))
             .collect();
         // All blocking literals, in introduction order (the paper's VB).
         let mut vb: Vec<Lit> = Vec::new();
@@ -237,45 +193,28 @@ impl MaxSatSolver for Msu4 {
 
         loop {
             let gate_assumptions: Vec<Lit> = bound_gate.iter().map(|&t| !t).collect();
-            stats.sat_calls += 1;
-            match engine.solve(&gate_assumptions) {
+            match run.solve(&gate_assumptions) {
                 SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Certified interval: lb from disjoint cores, ub from
-                    // the best model found (the hard-feasibility model is
-                    // a valid incumbent when no better one exists).
-                    let incumbent = best_model.or_else(|| hard_model.clone());
-                    let cost = incumbent.as_ref().map(|m| {
-                        wcnf.soft_clauses()
-                            .iter()
-                            .filter(|s| !s.clause.is_satisfied_by(m))
-                            .count()
-                    });
-                    return finish(MaxSatStatus::Unknown, cost, lb, incumbent, stats);
+                    exit_model(&mut run);
+                    return run.unknown();
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
+                    run.stats.unsat_iterations += 1;
                     // Independent of all assumptions: only the hard
                     // clauses can be contradictory (selectors and bound
                     // gates are free at the clause level, ge1 clauses are
                     // satisfiable on their own) — and the pre-check
                     // already ran, so this is a late hard refutation.
-                    if !engine.is_ok() {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                    if !run.engine.is_ok() {
+                        return run.infeasible();
                     }
-                    stats.cores += 1;
                     let core: Vec<Lit> = if self.config.minimize_cores {
-                        minimize_failed_assumptions(&mut engine, &child_budget)
+                        minimize_failed_assumptions(&mut run.engine, &run.budget)
                     } else {
-                        engine.failed_assumptions().to_vec()
+                        run.engine.failed_assumptions().to_vec()
                     };
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: core.len() as u64,
-                            weight: 1,
-                        });
-                    }
+                    run.count_core(core.len(), 1);
+                    let engine = &mut run.engine;
                     // φI: unblocked soft clauses in the core (the paper's
                     // "initial clauses"). Failed soft assumptions are
                     // active by construction, so all of them are fresh.
@@ -292,10 +231,9 @@ impl MaxSatSolver for Msu4 {
                         // Line 21–22: the core can be re-derived no matter
                         // which further clauses are blocked, so the current
                         // upper bound is the optimum.
-                        debug_assert!(best_model.is_some() || ub == num_soft);
-                        stats.absorb_sat(&engine.stats());
-                        let model = best_model.or_else(|| hard_model.clone());
-                        return finish(MaxSatStatus::Optimal, Some(ub), ub, model, stats);
+                        exit_model(&mut run);
+                        run.bounds.raise_lb(run.bounds.ub().unwrap_or(num_soft));
+                        return run.optimal();
                     }
                     // Lines 17–20: attach blocking variables and (optionally)
                     // require at least one of them to be used.
@@ -305,26 +243,19 @@ impl MaxSatSolver for Msu4 {
                         let b = engine.selector(id);
                         vb.push(b);
                         core_blockers.push(b);
-                        stats.blocking_vars += 1;
+                        run.stats.blocking_vars += 1;
                     }
                     if self.config.core_at_least_one {
                         engine.add_clause(core_blockers.iter().copied());
-                        stats.cardinality_clauses += 1;
+                        run.stats.cardinality_clauses += 1;
                     }
                     // Lines 23–24: every such core lifts the lower bound.
-                    lb += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lb as u64,
-                            ub: best_model.is_some().then_some(ub as u64),
-                        });
-                    }
+                    run.bounds.charge(1);
                 }
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    // Line 26 uses ν = blocking variables assigned 1; we
-                    // tighten it to the model's *actual* number of
+                    run.stats.sat_iterations += 1;
+                    // Line 26 uses ν = blocking variables assigned 1; the
+                    // incumbent's cost is the model's *actual* number of
                     // falsified soft clauses f ≤ ν (a model may raise a
                     // blocking variable of a clause it satisfies anyway).
                     // Soundness is unchanged: any assignment of cost
@@ -333,70 +264,37 @@ impl MaxSatSolver for Msu4 {
                     // Without this, descent proceeds one wasted blocking
                     // variable at a time, re-encoding the cardinality
                     // network per step (see DESIGN.md §4).
-                    let f = wcnf
-                        .soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(&model))
-                        .count();
-                    if f < ub || best_model.is_none() {
-                        ub = f;
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost: ub as u64 });
-                            coremax_obs::emit(coremax_obs::Event::Bounds {
-                                lb: lb as u64,
-                                ub: Some(ub as u64),
-                            });
-                        }
-                    }
+                    run.offer_model();
+                    let ub = run.bounds.ub().expect("a first model is always kept");
                     if ub == 0 {
                         // No soft clause needed blocking: cost 0 optimum.
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(0), 0, best_model, stats);
+                        return run.optimal();
                     }
                     // Lines 30–31: demand strictly fewer blocking vars.
                     // The previous bound version is retired for good and
                     // the new, tighter one activated under a fresh gate.
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
                     if let Some(t) = bound_gate.take() {
-                        engine.add_clause([t]);
+                        run.engine.add_clause([t]);
                     }
-                    let t = Lit::positive(engine.new_var());
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&vb, ub - 1, self.config.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let new_clauses = sink.into_clauses();
-                    stats.cardinality_clauses += new_clauses.len() as u64;
-                    let clauses_added = new_clauses.len() as u64;
-                    for c in new_clauses {
-                        engine.add_clause(c.into_iter().chain(std::iter::once(t)));
-                    }
+                    let t = Lit::positive(run.engine.new_var());
+                    let ((), clauses) = run.encode(Some(t), |sink| {
+                        encode_at_most(&vb, ub as usize - 1, self.config.encoding, sink);
+                    });
                     bound_gate = Some(t);
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
-                    }
+                    coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                        blocking_vars: 0,
+                        clauses,
+                    });
                 }
             }
             // Line 32: bounds met.
-            if lb >= ub {
-                stats.absorb_sat(&engine.stats());
-                let model = best_model.or_else(|| hard_model.clone());
-                return finish(MaxSatStatus::Optimal, Some(ub), ub, model, stats);
+            if run.bounds.lb() >= run.bounds.ub().unwrap_or(num_soft) {
+                exit_model(&mut run);
+                return run.optimal();
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                let incumbent = best_model.or_else(|| hard_model.clone());
-                let cost = incumbent.as_ref().map(|m| {
-                    wcnf.soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(m))
-                        .count()
-                });
-                return finish(MaxSatStatus::Unknown, cost, lb, incumbent, stats);
+            if run.budget.interrupted() {
+                exit_model(&mut run);
+                return run.unknown();
             }
         }
     }
@@ -435,6 +333,7 @@ fn minimize_failed_assumptions(engine: &mut IncrementalSolver, budget: &Budget) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 

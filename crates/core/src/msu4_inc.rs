@@ -17,13 +17,12 @@
 //! This is how later core-guided solvers (e.g. open-wbo's MSU3/OLL
 //! implementations) drive their SAT engines, applied to Algorithm 1.
 
-use std::time::Instant;
+use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cnf::{Lit, WcnfFormula, Weight};
+use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
-use coremax_cnf::{Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
-
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreGuidedRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// Assumption-based incremental msu4. Same algorithm and answer as
 /// [`crate::Msu4`], one SAT solver for the whole run.
@@ -51,7 +50,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 pub struct Msu4Incremental {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -68,7 +66,6 @@ impl Msu4Incremental {
         Msu4Incremental {
             encoding: CardEncoding::SortingNetwork,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
     }
@@ -79,17 +76,8 @@ impl Msu4Incremental {
         Msu4Incremental {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -111,46 +99,20 @@ impl MaxSatSolver for Msu4Incremental {
             wcnf.is_unweighted(),
             "msu4-inc handles unweighted (partial) MaxSAT; got weighted soft clauses"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-        let num_soft = wcnf.num_soft();
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<usize>,
-                      lower_bound: usize,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost: cost.map(|c| c as u64),
-                model,
-                lower_bound: lower_bound as u64,
-                stats,
-            }
-        };
+        let num_soft = wcnf.num_soft() as Weight;
 
         // One engine for the whole run; the selector-per-soft-clause
         // bookkeeping this module used to do by hand now lives in
         // `IncrementalSolver`.
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, self.shared.clone());
         let handles: Vec<SoftId> = wcnf
             .soft_clauses()
             .iter()
-            .map(|s| engine.add_soft(s.clause.lits().iter().copied()))
+            .map(|s| run.engine.add_soft(s.clause.lits().iter().copied()))
             .collect();
 
-        let mut vb: Vec<Lit> = Vec::new(); // selectors of blocked clauses
-        let mut lb = 0usize;
-        let mut ub = num_soft;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
+        // Selectors of blocked clauses.
+        let mut vb: Vec<Lit> = Vec::new();
         // Whether any cardinality-bound clauses were materialised: a
         // refutation *before* that can only involve the hard clauses
         // (relaxed softs are unrefutable — their selectors are free),
@@ -158,23 +120,11 @@ impl MaxSatSolver for Msu4Incremental {
         let mut bounds_added = false;
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    // Certified interval: lb from disjoint cores, ub from
-                    // the best model found so far.
-                    return finish(
-                        MaxSatStatus::Unknown,
-                        best_model.is_some().then_some(ub),
-                        lb,
-                        best_model,
-                        stats,
-                    );
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    if !engine.is_ok() {
+                    run.stats.unsat_iterations += 1;
+                    if !run.engine.is_ok() {
                         // Refuted independently of the assumptions: either
                         // the hard clauses are inconsistent (infeasible) or
                         // the accumulated bounds are (current ub optimal —
@@ -184,130 +134,75 @@ impl MaxSatSolver for Msu4Incremental {
                         // model; before any bound the refutation can only
                         // cite hard clauses, however late CDCL finds it.
                         if !bounds_added {
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                            return run.infeasible();
                         }
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(ub), ub, best_model, stats);
+                        run.bounds.raise_lb(run.bounds.ub().unwrap_or(num_soft));
+                        return run.optimal();
                     }
-                    stats.cores += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: engine.failed_softs().len() as u64,
-                            weight: 1,
-                        });
-                    }
+                    let failed = run.engine.failed_softs();
+                    run.count_core(failed.len(), 1);
                     // Failed softs name the core's clauses directly, all
                     // unblocked by construction.
+                    let engine = &mut run.engine;
                     let mut fresh = 0usize;
-                    for id in engine.failed_softs() {
+                    for id in failed {
                         if handles.contains(&id) && engine.is_active(id) {
                             engine.deactivate(id);
                             vb.push(engine.selector(id));
                             fresh += 1;
-                            stats.blocking_vars += 1;
+                            run.stats.blocking_vars += 1;
                         }
                     }
                     if fresh == 0 {
                         // The assumption core was empty or already
                         // blocked: the hard part must be inconsistent.
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
+                        return run.infeasible();
                     }
-                    lb += 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lb as u64,
-                            ub: best_model.is_some().then_some(ub as u64),
-                        });
-                    }
+                    run.bounds.charge(1);
                 }
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
+                    run.stats.sat_iterations += 1;
                     // Cost = falsified soft clauses (unblocked ones are
                     // enforced by assumptions, so only blocked count).
-                    let f = wcnf
-                        .soft_clauses()
-                        .iter()
-                        .filter(|s| !s.clause.is_satisfied_by(&model))
-                        .count();
-                    if f < ub || best_model.is_none() {
-                        ub = f;
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost: ub as u64 });
-                            coremax_obs::emit(coremax_obs::Event::Bounds {
-                                lb: lb as u64,
-                                ub: Some(ub as u64),
-                            });
-                        }
-                    }
+                    run.offer_model();
+                    let ub = run.bounds.ub().expect("a first model is always kept");
                     if ub == 0 {
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(0), 0, best_model, stats);
+                        return run.optimal();
                     }
                     // Tighten: Σ_vb s ≤ ub − 1 (added permanently; bounds
                     // only tighten so stale ones are merely redundant).
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&vb, ub - 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let clauses = sink.into_clauses();
-                    stats.cardinality_clauses += clauses.len() as u64;
-                    bounds_added |= !clauses.is_empty();
-                    let clauses_added = clauses.len() as u64;
-                    for c in clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
-                    }
+                    let ((), clauses) = run.encode(None, |sink| {
+                        encode_at_most(&vb, ub as usize - 1, self.encoding, sink);
+                    });
+                    bounds_added |= clauses > 0;
+                    coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                        blocking_vars: 0,
+                        clauses,
+                    });
                 }
             }
-            if lb >= ub {
-                if best_model.is_none() {
+            if run.bounds.lb() >= run.bounds.ub().unwrap_or(num_soft) {
+                if run.bounds.ub().is_none() {
                     // The lower bound met the worst case before any SAT
                     // iteration (every soft clause is blocked, so the
                     // assumption set is empty): one relaxed call
-                    // materialises a model attaining `ub` — an Optimal
+                    // materialises a model attaining it — an Optimal
                     // verdict must never be model-free — or exposes the
-                    // hard clauses as infeasible.
-                    stats.sat_calls += 1;
-                    match engine.solve_exact(&[]) {
+                    // hard clauses as infeasible. Out of budget, the
+                    // certified lower bound stands without an incumbent.
+                    match run.solve(&[]) {
                         SolveOutcome::Sat => {
-                            stats.sat_iterations += 1;
-                            best_model = engine.model().cloned();
+                            run.stats.sat_iterations += 1;
+                            run.offer_model();
                         }
-                        SolveOutcome::Unsat => {
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Infeasible, None, 0, None, stats);
-                        }
-                        SolveOutcome::Unknown => {
-                            // lb ≥ ub is proven but no model could be
-                            // materialised in time: report the certified
-                            // lower bound with no incumbent.
-                            stats.absorb_sat(&engine.stats());
-                            return finish(MaxSatStatus::Unknown, None, lb.min(ub), None, stats);
-                        }
+                        SolveOutcome::Unsat => return run.infeasible(),
+                        SolveOutcome::Unknown => return run.unknown(),
                     }
                 }
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Optimal, Some(ub), ub, best_model, stats);
+                return run.optimal();
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(
-                    MaxSatStatus::Unknown,
-                    best_model.is_some().then_some(ub),
-                    lb,
-                    best_model,
-                    stats,
-                );
+            if run.budget.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -316,7 +211,7 @@ impl MaxSatSolver for Msu4Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Msu4;
+    use crate::{MaxSatStatus, Msu4};
     use coremax_cnf::dimacs;
     use coremax_sat::dpll_max_satisfiable;
 

@@ -36,13 +36,13 @@
 //! returns `[lb, incumbent]`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use coremax_cards::{CnfSink, IncrementalTotalizer};
+use coremax_cards::IncrementalTotalizer;
 use coremax_cnf::{Lit, WcnfFormula, Weight};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SharedContext, SoftId, SolveOutcome};
+use coremax_sat::{Budget, SharedContext, SoftId, SolveOutcome};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
+use crate::run::CoreGuidedRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
 /// OLL/RC2-class solver: soft cardinality constraints with
 /// incrementally extended totalizers, core exhaustion and weight-aware
@@ -65,7 +65,6 @@ use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
 #[derive(Debug, Clone)]
 pub struct Oll {
     budget: Budget,
-    engine_mode: EngineMode,
     shared: Option<SharedContext>,
 }
 
@@ -81,17 +80,8 @@ impl Oll {
     pub fn new() -> Self {
         Oll {
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
             shared: None,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -117,17 +107,40 @@ struct Working {
     origin: Origin,
 }
 
-/// Moves a sink's fresh variables and clauses into the engine,
-/// returning the clause count.
-fn drain_sink(engine: &mut IncrementalSolver, sink: CnfSink, stats: &mut MaxSatStats) -> u64 {
-    engine.ensure_vars(sink.num_vars());
-    let clauses = sink.into_clauses();
-    let added = clauses.len() as u64;
-    stats.cardinality_clauses += added;
-    for c in clauses {
-        engine.add_clause(c);
+/// Opens the next stratum: activates every pending soft at the
+/// heaviest remaining weight.
+fn open_stratum(
+    pending: &mut Vec<(SoftId, Weight)>,
+    working: &mut HashMap<SoftId, Working>,
+    run: &mut CoreGuidedRun,
+) {
+    let Some(threshold) = pending.iter().map(|&(_, w)| w).max() else {
+        return;
+    };
+    pending.retain(|&(id, w)| {
+        if w >= threshold {
+            run.engine.activate(id);
+            working.insert(
+                id,
+                Working {
+                    weight: w,
+                    origin: Origin::Original,
+                },
+            );
+            false
+        } else {
+            true
+        }
+    });
+    let index = run.stats.strata;
+    run.stats.strata += 1;
+    if coremax_obs::tracing_enabled() {
+        coremax_obs::emit(coremax_obs::Event::StratumOpened {
+            index,
+            weight: threshold,
+            softs: working.len() as u64,
+        });
     }
-    added
 }
 
 impl MaxSatSolver for Oll {
@@ -148,121 +161,59 @@ impl MaxSatSolver for Oll {
     }
 
     fn solve(&mut self, wcnf: &WcnfFormula) -> MaxSatSolution {
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
-        let finish = |status: MaxSatStatus,
-                      cost: Option<Weight>,
-                      lower_bound: Weight,
-                      model: Option<coremax_cnf::Assignment>,
-                      mut stats: MaxSatStats| {
-            stats.wall_time = start.elapsed();
-            MaxSatSolution {
-                status,
-                cost,
-                model,
-                lower_bound,
-                stats,
-            }
-        };
-
-        let mut engine =
-            IncrementalSolver::with_mode_and_shared(self.engine_mode, self.shared.clone());
-        engine.ensure_vars(wcnf.num_vars());
-        engine.set_budget(child_budget.clone());
-        for h in wcnf.hard_clauses() {
-            engine.add_clause_shared(h.lits().iter().copied());
-        }
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, self.shared.clone());
 
         // Every original soft is registered up front but starts
-        // deactivated; the stratified schedule below activates them
+        // deactivated; the stratified schedule activates them
         // heaviest-distinct-weight first.
         let mut working: HashMap<SoftId, Working> = HashMap::new();
         let mut pending: Vec<(SoftId, Weight)> = Vec::new();
         for s in wcnf.soft_clauses() {
-            let id = engine.add_soft(s.clause.lits().iter().copied());
-            engine.deactivate(id);
+            let id = run.engine.add_soft(s.clause.lits().iter().copied());
+            run.engine.deactivate(id);
             pending.push((id, s.weight));
         }
+        open_stratum(&mut pending, &mut working, &mut run);
 
-        // Opens the next stratum: activates every pending soft at the
-        // heaviest remaining weight.
-        let open_stratum = |pending: &mut Vec<(SoftId, Weight)>,
-                            working: &mut HashMap<SoftId, Working>,
-                            engine: &mut IncrementalSolver,
-                            stats: &mut MaxSatStats| {
-            let Some(threshold) = pending.iter().map(|&(_, w)| w).max() else {
-                return;
-            };
-            pending.retain(|&(id, w)| {
-                if w >= threshold {
-                    engine.activate(id);
-                    working.insert(
-                        id,
-                        Working {
-                            weight: w,
-                            origin: Origin::Original,
-                        },
-                    );
-                    false
-                } else {
-                    true
-                }
-            });
-            let index = stats.strata;
-            stats.strata += 1;
-            if coremax_obs::tracing_enabled() {
-                coremax_obs::emit(coremax_obs::Event::StratumOpened {
-                    index,
-                    weight: threshold,
-                    softs: working.len() as u64,
-                });
+        // Totalizers with the weight each was created at: every output
+        // level of a totalizer bounds the same core, so every level's
+        // soft carries that weight.
+        let mut tots: Vec<(IncrementalTotalizer, Weight)> = Vec::new();
+        // Before any hardening, and with no incumbent, a refutation
+        // independent of every assumption can only cite hard clauses
+        // (totalizer definitions and relaxation links are satisfiable
+        // with free selectors): the instance is infeasible. After
+        // hardening it is unreachable (the incumbent satisfies every
+        // hardened unit); keep the certified interval.
+        let refuted = |run: CoreGuidedRun| {
+            if run.stats.hardened == 0 && run.bounds.ub().is_none() {
+                run.infeasible()
+            } else {
+                run.unknown()
             }
         };
-        open_stratum(&mut pending, &mut working, &mut engine, &mut stats);
-
-        let mut tots: Vec<IncrementalTotalizer> = Vec::new();
-        let mut lb: Weight = 0;
-        let mut best_cost: Option<Weight> = None;
-        let mut best_model: Option<coremax_cnf::Assignment> = None;
 
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    return finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats);
-                }
+            match run.solve(&[]) {
+                SolveOutcome::Unknown => return run.unknown(),
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let model = engine.model().expect("model after SAT").clone();
-                    let cost = wcnf
-                        .cost(&model)
-                        .expect("hard clauses hold under a SAT model");
-                    if best_cost.is_none_or(|b| cost < b) {
-                        best_cost = Some(cost);
-                        best_model = Some(model);
-                        if coremax_obs::tracing_enabled() {
-                            coremax_obs::emit(coremax_obs::Event::Incumbent { cost });
-                            coremax_obs::emit(coremax_obs::Event::Bounds { lb, ub: Some(cost) });
-                        }
-                    }
+                    run.stats.sat_iterations += 1;
+                    run.offer_model();
                     if pending.is_empty() {
                         // SAT under every working assumption: the OLL
                         // invariant makes this model's cost equal the
                         // accumulated per-core charges.
-                        let best = best_cost.expect("incumbent just recorded");
-                        debug_assert_eq!(best, lb, "final model cost must equal the core charges");
-                        stats.absorb_sat(&engine.stats());
-                        return finish(MaxSatStatus::Optimal, Some(best), best, best_model, stats);
+                        return run.optimal();
                     }
                     // Weight-aware hardening: with a certified interval
                     // [lb, ub], falsifying any working soft of residual
                     // weight > ub − lb costs more than the incumbent —
                     // make it permanently hard.
-                    let ub = best_cost.expect("incumbent exists past the first SAT");
-                    let gap = ub.saturating_sub(lb);
+                    let ub = run
+                        .bounds
+                        .ub()
+                        .expect("incumbent exists past the first SAT");
+                    let gap = ub.saturating_sub(run.bounds.lb());
                     let to_harden: Vec<SoftId> = working
                         .iter()
                         .filter(|(_, meta)| meta.weight > gap)
@@ -270,8 +221,8 @@ impl MaxSatSolver for Oll {
                         .collect();
                     for id in to_harden {
                         let meta = working.remove(&id).expect("listed above");
-                        engine.harden(id);
-                        stats.hardened += 1;
+                        run.engine.harden(id);
+                        run.stats.hardened += 1;
                         if coremax_obs::tracing_enabled() {
                             coremax_obs::emit(coremax_obs::Event::SoftHardened {
                                 weight: meta.weight,
@@ -281,8 +232,8 @@ impl MaxSatSolver for Oll {
                     }
                     pending.retain(|&(id, w)| {
                         if w > gap {
-                            engine.harden(id);
-                            stats.hardened += 1;
+                            run.engine.harden(id);
+                            run.stats.hardened += 1;
                             if coremax_obs::tracing_enabled() {
                                 coremax_obs::emit(coremax_obs::Event::SoftHardened {
                                     weight: w,
@@ -294,51 +245,28 @@ impl MaxSatSolver for Oll {
                             true
                         }
                     });
-                    open_stratum(&mut pending, &mut working, &mut engine, &mut stats);
+                    open_stratum(&mut pending, &mut working, &mut run);
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    if !engine.is_ok() {
-                        stats.absorb_sat(&engine.stats());
-                        // Refuted independently of every assumption.
-                        // Before any hardening this can only cite hard
-                        // clauses (totalizer definitions and relaxation
-                        // links are satisfiable with free selectors):
-                        // the instance is infeasible. After hardening it
-                        // is unreachable (the incumbent satisfies every
-                        // hardened unit); keep the certified interval.
-                        return if stats.hardened == 0 && best_cost.is_none() {
-                            finish(MaxSatStatus::Infeasible, None, 0, None, stats)
-                        } else {
-                            finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats)
-                        };
+                    run.stats.unsat_iterations += 1;
+                    if !run.engine.is_ok() {
+                        return refuted(run);
                     }
-                    let members: Vec<SoftId> = engine
+                    let members: Vec<SoftId> = run
+                        .engine
                         .failed_softs()
                         .into_iter()
                         .filter(|id| working.contains_key(id))
                         .collect();
                     if members.is_empty() {
-                        stats.absorb_sat(&engine.stats());
-                        return if stats.hardened == 0 && best_cost.is_none() {
-                            finish(MaxSatStatus::Infeasible, None, 0, None, stats)
-                        } else {
-                            finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats)
-                        };
+                        return refuted(run);
                     }
                     let minw = members
                         .iter()
                         .map(|id| working[id].weight)
                         .min()
                         .expect("non-empty core");
-                    stats.cores += 1;
-                    lb = lb.saturating_add(minw);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::CoreExtracted {
-                            size: members.len() as u64,
-                            weight: minw,
-                        });
-                    }
+                    run.count_core(members.len(), minw);
 
                     // RC2-style core processing. Members heavier than
                     // w_min keep their assumption at the residual weight
@@ -353,16 +281,16 @@ impl MaxSatSolver for Oll {
                         if weight > minw {
                             working.get_mut(&id).expect("member is working").weight =
                                 weight.saturating_sub(minw);
-                            let relax = Lit::positive(engine.new_var());
-                            let selector = engine.selector(id);
-                            engine.add_clause([!selector, relax]);
+                            let relax = Lit::positive(run.engine.new_var());
+                            let selector = run.engine.selector(id);
+                            run.engine.add_clause([!selector, relax]);
                             rels.push(relax);
-                            stats.blocking_vars += 1;
-                            stats.weight_splits += 1;
+                            run.stats.blocking_vars += 1;
+                            run.stats.weight_splits += 1;
                         } else {
-                            engine.deactivate(id);
+                            run.engine.deactivate(id);
                             let meta = working.remove(&id).expect("member is working");
-                            rels.push(engine.selector(id));
+                            rels.push(run.engine.selector(id));
                             if let Origin::TotOutput { tot, level } = meta.origin {
                                 extensions.push((tot, level));
                             }
@@ -372,28 +300,27 @@ impl MaxSatSolver for Oll {
                     // A fully relaxed totalizer output raises its
                     // totalizer's bound in place: only the new layers
                     // are emitted, and the next output becomes the next
-                    // soft. A bound reaching the input count is
-                    // exhausted — the count can never overflow again.
+                    // soft at the totalizer's own weight. A bound
+                    // reaching the input count is exhausted — the count
+                    // can never overflow again.
                     for (tot, level) in extensions {
                         let next = level + 1;
-                        if next >= tots[tot].num_inputs() {
+                        let (totalizer, weight) = &mut tots[tot];
+                        if next >= totalizer.num_inputs() {
                             continue;
                         }
-                        let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                        let mut sink = CnfSink::new(engine.num_vars());
-                        tots[tot].increase_bound(next, &mut sink);
-                        let clauses = drain_sink(&mut engine, sink, &mut stats);
-                        encode_span.finish(&mut stats.phase);
-                        let out = tots[tot].output(next).expect("bound just materialised");
-                        let id = engine.add_soft([!out]);
+                        let ((), clauses) =
+                            run.encode(None, |sink| totalizer.increase_bound(next, sink));
+                        let out = totalizer.output(next).expect("bound just materialised");
+                        let id = run.engine.add_soft([!out]);
                         working.insert(
                             id,
                             Working {
-                                weight: minw,
+                                weight: *weight,
                                 origin: Origin::TotOutput { tot, level: next },
                             },
                         );
-                        stats.totalizer_extensions += 1;
+                        run.stats.totalizer_extensions += 1;
                         if coremax_obs::tracing_enabled() {
                             coremax_obs::emit(coremax_obs::Event::TotalizerExtended {
                                 bound: next as u64,
@@ -406,15 +333,13 @@ impl MaxSatSolver for Oll {
                     // relaxation literals (a singleton core needs none:
                     // its violation is simply allowed).
                     if rels.len() >= 2 {
-                        let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                        let mut sink = CnfSink::new(engine.num_vars());
-                        let tot = IncrementalTotalizer::new(&rels, 1, &mut sink);
-                        let aux_vars = (sink.num_vars() - engine.num_vars()) as u64;
-                        let clauses = drain_sink(&mut engine, sink, &mut stats);
-                        encode_span.finish(&mut stats.phase);
+                        let vars_before = run.engine.num_vars();
+                        let (tot, clauses) =
+                            run.encode(None, |sink| IncrementalTotalizer::new(&rels, 1, sink));
+                        let aux_vars = (run.engine.num_vars() - vars_before) as u64;
                         let out = tot.output(1).expect("two or more inputs");
-                        let id = engine.add_soft([!out]);
-                        tots.push(tot);
+                        let id = run.engine.add_soft([!out]);
+                        tots.push((tot, minw));
                         working.insert(
                             id,
                             Working {
@@ -432,14 +357,11 @@ impl MaxSatSolver for Oll {
                             });
                         }
                     }
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds { lb, ub: best_cost });
-                    }
+                    run.bounds.charge(minw);
                 }
             }
-            if child_budget.interrupted() {
-                stats.absorb_sat(&engine.stats());
-                return finish(MaxSatStatus::Unknown, best_cost, lb, best_model, stats);
+            if run.budget.interrupted() {
+                return run.unknown();
             }
         }
     }
@@ -448,7 +370,7 @@ impl MaxSatSolver for Oll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify_solution, BranchBound, Msu1, Wmsu1};
+    use crate::{verify_solution, BranchBound, MaxSatStatus, Msu1, Wmsu1};
     use coremax_cnf::dimacs;
 
     fn weighted(text: &str) -> WcnfFormula {
@@ -653,13 +575,31 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_mode_agrees() {
+    fn hard_units_force_every_soft_false() {
         let w = weighted("p wcnf 3 6 9\n9 -1 0\n9 -2 0\n9 -3 0\n2 1 0\n3 2 0\n4 3 0\n");
-        let persistent = Oll::new().solve(&w);
-        let rebuild = Oll::new().with_engine_mode(EngineMode::Rebuild).solve(&w);
-        assert_eq!(persistent.cost, rebuild.cost);
-        assert_eq!(persistent.cost, Some(9));
-        assert!(verify_solution(&w, &rebuild));
+        let s = Oll::new().solve(&w);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
+        assert_eq!(s.cost, Some(9));
+        assert!(verify_solution(&w, &s));
+    }
+
+    #[test]
+    fn split_totalizer_output_extends_at_the_creation_weight() {
+        // Optimum 40 (branch and bound and wmsu1 agree). A totalizer
+        // output split by a later core used to raise its bound at that
+        // core's smaller weight: the final model then cost more than the
+        // cores charged, and the solver answered OPTIMAL at 42.
+        let w = weighted(
+            "p wcnf 8 15 156\n156 1 5 4 0\n6 5 5 0\n15 2 0\n5 -5 -8 0\n12 5 -2 0\n\
+             10 -2 1 0\n14 -4 0\n3 2 -3 0\n5 2 0\n18 4 3 0\n6 -8 -6 0\n19 -2 -1 0\n\
+             18 -5 0\n5 7 2 0\n19 4 -3 0\n",
+        );
+        let s = Oll::new().solve(&w);
+        assert_eq!(s.status, MaxSatStatus::Optimal);
+        assert_eq!((s.cost, s.lower_bound), (Some(40), 40));
+        assert_eq!(BranchBound::new().solve(&w).cost, Some(40));
+        assert_eq!(Wmsu1::new().solve(&w).cost, Some(40));
+        assert!(verify_solution(&w, &s));
     }
 
     #[test]

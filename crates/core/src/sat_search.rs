@@ -9,22 +9,17 @@
 //! up front (so the search space blow-up of §2.2 applies) and differ
 //! only in how the bound on `Σ b` moves.
 
-use std::time::Instant;
+use coremax_cards::{encode_at_most, CardEncoding};
+use coremax_cnf::{Lit, WcnfFormula};
+use coremax_sat::{Budget, IncrementalSolver, SolveOutcome};
 
-use coremax_cards::{encode_at_most, CardEncoding, CnfSink};
-use coremax_cnf::{Assignment, Lit, WcnfFormula};
-use coremax_sat::{Budget, EngineMode, IncrementalSolver, SolveOutcome};
+use crate::run::CoreGuidedRun;
+use crate::types::{MaxSatSolution, MaxSatSolver};
 
-use crate::types::{MaxSatSolution, MaxSatSolver, MaxSatStats, MaxSatStatus};
-
-/// Loads the working formula into `engine`: hard clauses verbatim, one
-/// blocking variable appended to every soft clause. Returns the
-/// blocking literals.
-fn load_relaxed(engine: &mut IncrementalSolver, wcnf: &WcnfFormula) -> Vec<Lit> {
-    engine.ensure_vars(wcnf.num_vars());
-    for h in wcnf.hard_clauses() {
-        engine.add_clause(h.lits().iter().copied());
-    }
+/// Appends one blocking variable to every soft clause of `wcnf` and
+/// adds the results to `engine` as hard clauses. Returns the blocking
+/// literals.
+fn relax_softs(engine: &mut IncrementalSolver, wcnf: &WcnfFormula) -> Vec<Lit> {
     let mut blockers = Vec::with_capacity(wcnf.num_soft());
     for soft in wcnf.soft_clauses() {
         let b = Lit::positive(engine.new_var());
@@ -34,15 +29,6 @@ fn load_relaxed(engine: &mut IncrementalSolver, wcnf: &WcnfFormula) -> Vec<Lit> 
         blockers.push(b);
     }
     blockers
-}
-
-fn model_cost(wcnf: &WcnfFormula, model: &Assignment) -> usize {
-    // All hard clauses are satisfied by construction; count actually
-    // falsified soft clauses rather than raised blockers.
-    wcnf.soft_clauses()
-        .iter()
-        .filter(|s| !s.clause.is_satisfied_by(model))
-        .count()
 }
 
 /// Model-improving linear search ("SAT–UNSAT"): find any model, then
@@ -67,7 +53,6 @@ fn model_cost(wcnf: &WcnfFormula, model: &Assignment) -> usize {
 pub struct LinearSearchSat {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
 }
 
 impl Default for LinearSearchSat {
@@ -83,7 +68,6 @@ impl LinearSearchSat {
         LinearSearchSat {
             encoding: CardEncoding::SortingNetwork,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
     }
 
@@ -93,16 +77,7 @@ impl LinearSearchSat {
         LinearSearchSat {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -120,86 +95,47 @@ impl MaxSatSolver for LinearSearchSat {
             wcnf.is_unweighted(),
             "linear-sat handles unweighted (partial) MaxSAT"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
         // One engine for the whole descent. The bound only ever
         // tightens (`Σ b ≤ cost − 1` with strictly decreasing cost), so
         // each encoding strictly implies the previous and all bound
         // clauses can be added permanently — no gating needed.
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.set_budget(child_budget.clone());
-        let blockers = load_relaxed(&mut engine, wcnf);
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, None);
+        let blockers = relax_softs(&mut run.engine, wcnf);
 
-        let mut best: Option<(Assignment, usize)> = None;
         loop {
-            stats.sat_calls += 1;
-            match engine.solve(&[]) {
+            match run.solve(&[]) {
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let m = engine.model().expect("model after SAT").clone();
-                    let cost = model_cost(wcnf, &m);
-                    best = Some((m, cost));
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: 0,
-                            ub: Some(cost as u64),
-                        });
-                    }
+                    run.stats.sat_iterations += 1;
+                    run.offer_model();
+                    let cost = run.bounds.ub().expect("each model improves");
                     if cost == 0 {
                         break;
                     }
-                    let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-                    let mut sink = CnfSink::new(engine.num_vars());
-                    encode_at_most(&blockers, cost - 1, self.encoding, &mut sink);
-                    engine.ensure_vars(sink.num_vars());
-                    let clauses = sink.into_clauses();
-                    stats.cardinality_clauses += clauses.len() as u64;
-                    let clauses_added = clauses.len() as u64;
-                    for c in clauses {
-                        engine.add_clause(c);
-                    }
-                    encode_span.finish(&mut stats.phase);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                            blocking_vars: 0,
-                            clauses: clauses_added,
-                        });
-                    }
+                    let ((), clauses) = run.encode(None, |sink| {
+                        encode_at_most(&blockers, cost as usize - 1, self.encoding, sink);
+                    });
+                    coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                        blocking_vars: 0,
+                        clauses,
+                    });
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
+                    run.stats.unsat_iterations += 1;
                     break;
                 }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    stats.wall_time = start.elapsed();
-                    // Linear descent proves no lower bound until the
-                    // final UNSAT, so only the incumbent side of the
-                    // interval is non-trivial here.
-                    return MaxSatSolution {
-                        status: MaxSatStatus::Unknown,
-                        cost: best.as_ref().map(|(_, c)| *c as u64),
-                        model: best.map(|(m, _)| m),
-                        lower_bound: 0,
-                        stats,
-                    };
-                }
+                // Linear descent proves no lower bound until the final
+                // UNSAT, so only the incumbent side of the interval is
+                // non-trivial here.
+                SolveOutcome::Unknown => return run.unknown(),
             }
         }
-        stats.absorb_sat(&engine.stats());
-        stats.wall_time = start.elapsed();
-        match best {
-            Some((m, cost)) => MaxSatSolution {
-                status: MaxSatStatus::Optimal,
-                cost: Some(cost as u64),
-                model: Some(m),
-                lower_bound: cost as u64,
-                stats,
-            },
-            None => MaxSatSolution::infeasible(stats),
+        // The last UNSAT refuted every cost below the incumbent's.
+        match run.bounds.ub() {
+            Some(cost) => {
+                run.bounds.raise_lb(cost);
+                run.optimal()
+            }
+            None => run.infeasible(),
         }
     }
 }
@@ -213,7 +149,6 @@ impl MaxSatSolver for LinearSearchSat {
 pub struct BinarySearchSat {
     encoding: CardEncoding,
     budget: Budget,
-    engine_mode: EngineMode,
 }
 
 impl Default for BinarySearchSat {
@@ -229,7 +164,6 @@ impl BinarySearchSat {
         BinarySearchSat {
             encoding: CardEncoding::SortingNetwork,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
     }
 
@@ -239,16 +173,7 @@ impl BinarySearchSat {
         BinarySearchSat {
             encoding,
             budget: Budget::new(),
-            engine_mode: EngineMode::Persistent,
         }
-    }
-
-    /// Selects how the SAT engine services iterations; the rebuilding
-    /// mode reconstructs a fresh solver per call (benchmark baseline).
-    #[must_use]
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
     }
 }
 
@@ -266,136 +191,64 @@ impl MaxSatSolver for BinarySearchSat {
             wcnf.is_unweighted(),
             "binary-sat handles unweighted (partial) MaxSAT"
         );
-        let start = Instant::now();
-        let child_budget = self.budget.child(start);
-        let mut stats = MaxSatStats::default();
-
         // One engine for the whole search. Unlike the linear descent
         // the probed bound moves in both directions, so each `Σ b ≤
         // mid` encoding carries a gate literal `t` on every clause:
         // assuming `¬t` activates the bound, the unit `t` retires it
         // for good once the search moves on.
-        let mut engine = IncrementalSolver::with_mode(self.engine_mode);
-        engine.set_budget(child_budget.clone());
-        let blockers = load_relaxed(&mut engine, wcnf);
+        let mut run = CoreGuidedRun::new(wcnf, &self.budget, None);
+        let blockers = relax_softs(&mut run.engine, wcnf);
 
         // Feasibility first (no bound at all).
-        stats.sat_calls += 1;
-        let mut best = match engine.solve(&[]) {
-            SolveOutcome::Unsat => {
-                stats.absorb_sat(&engine.stats());
-                stats.wall_time = start.elapsed();
-                return MaxSatSolution::infeasible(stats);
-            }
-            SolveOutcome::Unknown => {
-                stats.absorb_sat(&engine.stats());
-                stats.wall_time = start.elapsed();
-                return MaxSatSolution {
-                    status: MaxSatStatus::Unknown,
-                    cost: None,
-                    model: None,
-                    lower_bound: 0,
-                    stats,
-                };
-            }
+        match run.solve(&[]) {
+            SolveOutcome::Unsat => return run.infeasible(),
+            SolveOutcome::Unknown => return run.unknown(),
             SolveOutcome::Sat => {
-                stats.sat_iterations += 1;
-                let m = engine.model().expect("model after SAT").clone();
-                let cost = model_cost(wcnf, &m);
-                if coremax_obs::tracing_enabled() {
-                    coremax_obs::emit(coremax_obs::Event::Incumbent { cost: cost as u64 });
-                    coremax_obs::emit(coremax_obs::Event::Bounds {
-                        lb: 0,
-                        ub: Some(cost as u64),
-                    });
-                }
-                (m, cost)
+                run.stats.sat_iterations += 1;
+                run.offer_model();
             }
-        };
+        }
 
-        let mut lo = 0usize; // smallest cost not yet excluded
-        let mut hi = best.1; // best.1 is attainable
+        // The tracked interval is the search window: `lb` is the
+        // smallest cost not yet excluded, `ub` the best cost attained.
         let mut gate: Option<Lit> = None;
-        while lo < hi {
+        loop {
+            let lo = run.bounds.lb() as usize;
+            let hi = run.bounds.ub().expect("feasible") as usize;
+            if lo >= hi {
+                return run.optimal();
+            }
             let mid = lo + (hi - lo) / 2;
             // The previous probe's bound is stale either way (SAT
             // shrank hi below it, UNSAT moved lo above it): retire it
             // and install the gated encoding for `mid`.
             if let Some(t) = gate.take() {
-                engine.add_clause([t]);
+                run.engine.add_clause([t]);
             }
-            let encode_span = coremax_obs::span(coremax_obs::Phase::Encode);
-            let t = Lit::positive(engine.new_var());
-            let mut sink = CnfSink::new(engine.num_vars());
-            encode_at_most(&blockers, mid, self.encoding, &mut sink);
-            engine.ensure_vars(sink.num_vars());
-            let clauses = sink.into_clauses();
-            stats.cardinality_clauses += clauses.len() as u64;
-            let clauses_added = clauses.len() as u64;
-            for mut c in clauses {
-                c.push(t);
-                engine.add_clause(c);
-            }
+            let t = Lit::positive(run.engine.new_var());
+            let ((), clauses) = run.encode(Some(t), |sink| {
+                encode_at_most(&blockers, mid, self.encoding, sink);
+            });
             gate = Some(t);
-            encode_span.finish(&mut stats.phase);
-            if coremax_obs::tracing_enabled() {
-                coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
-                    blocking_vars: 0,
-                    clauses: clauses_added,
-                });
-            }
+            coremax_obs::emit(coremax_obs::Event::RelaxationEncoded {
+                blocking_vars: 0,
+                clauses,
+            });
 
-            stats.sat_calls += 1;
-            match engine.solve(&[!t]) {
+            match run.solve(&[!t]) {
                 SolveOutcome::Sat => {
-                    stats.sat_iterations += 1;
-                    let m = engine.model().expect("model after SAT").clone();
-                    let cost = model_cost(wcnf, &m);
-                    debug_assert!(cost <= mid);
-                    hi = cost.min(mid);
-                    best = (m, hi);
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Incumbent { cost: hi as u64 });
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lo as u64,
-                            ub: Some(hi as u64),
-                        });
-                    }
+                    run.stats.sat_iterations += 1;
+                    run.offer_model();
+                    debug_assert!(run.bounds.ub() <= Some(mid as u64));
                 }
                 SolveOutcome::Unsat => {
-                    stats.unsat_iterations += 1;
-                    lo = mid + 1;
-                    if coremax_obs::tracing_enabled() {
-                        coremax_obs::emit(coremax_obs::Event::Bounds {
-                            lb: lo as u64,
-                            ub: Some(hi as u64),
-                        });
-                    }
+                    run.stats.unsat_iterations += 1;
+                    run.bounds.raise_lb(mid as u64 + 1);
                 }
-                SolveOutcome::Unknown => {
-                    stats.absorb_sat(&engine.stats());
-                    stats.wall_time = start.elapsed();
-                    // `lo` is the smallest cost not yet excluded: every
-                    // cost below it was refuted, so it is a certified
-                    // lower bound.
-                    return MaxSatSolution {
-                        status: MaxSatStatus::Unknown,
-                        cost: Some(best.1 as u64),
-                        model: Some(best.0),
-                        lower_bound: lo as u64,
-                        stats,
-                    };
-                }
+                // Every cost below `lb` was refuted: the interval
+                // stays certified.
+                SolveOutcome::Unknown => return run.unknown(),
             }
-        }
-        stats.absorb_sat(&engine.stats());
-        stats.wall_time = start.elapsed();
-        MaxSatSolution {
-            status: MaxSatStatus::Optimal,
-            cost: Some(best.1 as u64),
-            model: Some(best.0),
-            lower_bound: best.1 as u64,
-            stats,
         }
     }
 }
@@ -403,6 +256,7 @@ impl MaxSatSolver for BinarySearchSat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaxSatStatus;
     use coremax_cnf::{dimacs, Var};
     use coremax_sat::dpll_max_satisfiable;
 
@@ -477,17 +331,6 @@ mod tests {
                 let m = r.model.unwrap();
                 assert_eq!(w.cost(&m), r.cost);
             }
-        }
-    }
-
-    #[test]
-    fn rebuild_mode_agrees_with_persistent() {
-        let w = unweighted("p cnf 4 8\n1 0\n-1 -2 0\n2 0\n-1 -3 0\n3 0\n-2 -3 0\n1 -4 0\n-1 4 0\n");
-        for mode in [EngineMode::Persistent, EngineMode::Rebuild] {
-            let rl = LinearSearchSat::new().with_engine_mode(mode).solve(&w);
-            let rb = BinarySearchSat::new().with_engine_mode(mode).solve(&w);
-            assert_eq!(rl.cost, Some(2), "linear under {mode:?}");
-            assert_eq!(rb.cost, Some(2), "binary under {mode:?}");
         }
     }
 

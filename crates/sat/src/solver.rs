@@ -410,8 +410,8 @@ impl Solver {
     /// arena carries two literals of the same variable.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         // Scratch buffers make clause loading allocation-free in steady
-        // state — MaxSAT drivers rebuild solvers thousands of times, so
-        // the per-clause `Vec`s used to dominate their setup cost.
+        // state — MaxSAT drivers add relaxation and bound clauses on
+        // every iteration, and batch runs load thousands of instances.
         let mut buf = std::mem::take(&mut self.add_buf);
         buf.clear();
         buf.extend(lits);

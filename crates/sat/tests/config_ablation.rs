@@ -4,8 +4,8 @@
 
 use coremax_cnf::{CnfFormula, Lit, Var};
 use coremax_sat::{
-    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
-    SolverConfig, SolverStats,
+    dpll_is_satisfiable, IncrementalSolver, RestartMode, SolveOutcome, Solver, SolverConfig,
+    SolverStats,
 };
 
 fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula {
@@ -33,7 +33,7 @@ fn random_cnf(seed: &mut u64, num_vars: usize, num_clauses: usize) -> CnfFormula
 /// all of them enforced. Returns the engine's stats and, when `f` is
 /// UNSAT, the core: the clauses named by the failed selectors.
 fn soft_core(f: &CnfFormula, config: SolverConfig) -> (SolverStats, Option<CnfFormula>) {
-    let mut engine = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+    let mut engine = IncrementalSolver::with_config(config);
     engine.ensure_vars(f.num_vars());
     for c in f.iter() {
         engine.add_soft(c.lits().iter().copied());

@@ -6,8 +6,7 @@
 
 use coremax_cnf::{CnfFormula, Lit, Var};
 use coremax_sat::{
-    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
-    SolverConfig,
+    dpll_is_satisfiable, IncrementalSolver, RestartMode, SoftId, SolveOutcome, Solver, SolverConfig,
 };
 use proptest::prelude::*;
 
@@ -166,63 +165,82 @@ proptest! {
     }
 
     #[test]
-    fn engine_modes_agree_on_soft_lifecycles(rounds in arb_rounds()) {
-        // Same rounds driven through the selector-managed soft-clause
-        // engine: the persistent and rebuild-per-call modes must report
-        // identical statuses, and on UNSAT both cores must be sound.
-        // Each round's batch becomes soft clauses; each round solves,
-        // then deactivates the failed softs (a miniature core-guided
-        // driver).
-        let mut engines = [
-            IncrementalSolver::with_mode_and_config(EngineMode::Persistent, stress_config()),
-            IncrementalSolver::with_mode_and_config(EngineMode::Rebuild, stress_config()),
-        ];
-        for e in &mut engines {
-            e.ensure_vars(MAX_VARS as usize);
-        }
-        let mut all_clauses: Vec<Vec<i32>> = Vec::new();
-        let mut handle_clause: Vec<Vec<i32>> = Vec::new();
+    fn soft_lifecycles_agree_with_oracle(rounds in arb_rounds()) {
+        // The same rounds driven through the selector-managed soft-clause
+        // engine, a miniature core-guided driver: each batch's first
+        // clause is hard and the rest are softs; each round solves and
+        // then deactivates the failed softs. Every answer must match the
+        // DPLL oracle over hard clauses + active softs + assumptions, and
+        // every core must be UNSAT with the hard clauses.
+        let mut e = IncrementalSolver::with_config(stress_config());
+        e.ensure_vars(MAX_VARS as usize);
+        let mut hard: Vec<Vec<i32>> = Vec::new();
+        let mut softs: Vec<Vec<i32>> = Vec::new();
 
         for (batch, raw_assumptions) in rounds {
             let assumptions = dedup_assumptions(&raw_assumptions);
-            for c in &batch {
-                all_clauses.push(c.clone());
-                handle_clause.push(c.clone());
-                for e in &mut engines {
-                    let id = e.add_soft(c.iter().map(|&d| Lit::from_dimacs(d).unwrap()));
-                    prop_assert_eq!(id.0, handle_clause.len() - 1);
+            for (i, c) in batch.iter().enumerate() {
+                let lits = c.iter().map(|&d| Lit::from_dimacs(d).unwrap());
+                if i == 0 {
+                    e.add_clause(lits);
+                    hard.push(c.clone());
+                } else {
+                    let id = e.add_soft(lits);
+                    prop_assert_eq!(id.0, softs.len());
+                    softs.push(c.clone());
                 }
             }
-            let [ref mut p, ref mut r] = engines;
-            let po = p.solve(&assumptions);
-            let ro = r.solve(&assumptions);
-            prop_assert_eq!(po, ro, "engine modes disagree");
-            // Every stored clause is `ω ∨ s` with a fresh selector `s`,
-            // so the clauses alone can never be refuted.
-            prop_assert!(p.is_ok() && r.is_ok(), "soft-only engine refuted");
-            if po == SolveOutcome::Unsat {
-                for e in &mut engines {
-                    // The failed softs plus the formula-level failed
-                    // assumptions must form a genuinely UNSAT subset.
+            let mut enforced = hard.clone();
+            enforced.extend(
+                (0..softs.len())
+                    .filter(|&i| e.is_active(SoftId(i)))
+                    .map(|i| softs[i].clone()),
+            );
+            let outcome = e.solve(&assumptions);
+            prop_assert_eq!(
+                outcome == SolveOutcome::Sat,
+                oracle(&enforced, &assumptions),
+                "engine disagrees with the oracle"
+            );
+            match outcome {
+                SolveOutcome::Sat => {
+                    let m = e.model().expect("model after SAT");
+                    for c in &enforced {
+                        prop_assert!(
+                            c.iter().any(|&d| m.satisfies(Lit::from_dimacs(d).unwrap())),
+                            "violated clause {:?}",
+                            c
+                        );
+                    }
+                    for &a in &assumptions {
+                        prop_assert!(m.satisfies(a), "violated assumption {}", a);
+                    }
+                }
+                SolveOutcome::Unsat if !e.is_ok() => {
+                    // Every soft is stored as `ω ∨ s` with a fresh
+                    // selector `s`: only the hard clauses can be refuted.
+                    prop_assert!(!oracle(&hard, &[]), "refuted satisfiable hard clauses");
+                    break;
+                }
+                SolveOutcome::Unsat => {
                     let failed = e.failed_softs();
-                    let failed_clauses: Vec<Vec<i32>> = failed
-                        .iter()
-                        .map(|&id| handle_clause[id.0].clone())
-                        .collect();
+                    let mut core = hard.clone();
+                    for &id in &failed {
+                        prop_assert!(e.is_active(id), "core cites an inactive soft");
+                        core.push(softs[id.0].clone());
+                    }
                     let extra: Vec<Lit> = e
                         .failed_assumptions()
                         .iter()
                         .copied()
                         .filter(|a| assumptions.contains(a))
                         .collect();
-                    prop_assert!(
-                        !oracle(&failed_clauses, &extra),
-                        "soft core was satisfiable"
-                    );
+                    prop_assert!(!oracle(&core, &extra), "soft core was satisfiable");
                     for &id in &failed {
                         e.deactivate(id);
                     }
                 }
+                SolveOutcome::Unknown => unreachable!("no budget set"),
             }
         }
     }

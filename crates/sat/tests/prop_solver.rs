@@ -4,8 +4,7 @@
 
 use coremax_cnf::{CnfFormula, Lit};
 use coremax_sat::{
-    dpll_is_satisfiable, EngineMode, IncrementalSolver, RestartMode, SolveOutcome, Solver,
-    SolverConfig,
+    dpll_is_satisfiable, IncrementalSolver, RestartMode, SolveOutcome, Solver, SolverConfig,
 };
 use proptest::prelude::*;
 
@@ -29,7 +28,7 @@ fn stress_config() -> SolverConfig {
 /// all of them enforced. Returns the positions of the clauses named by
 /// the failed selectors, or `None` when `f` is satisfiable.
 fn soft_core(f: &CnfFormula, config: SolverConfig) -> Option<Vec<usize>> {
-    let mut engine = IncrementalSolver::with_mode_and_config(EngineMode::Persistent, config);
+    let mut engine = IncrementalSolver::with_config(config);
     engine.ensure_vars(f.num_vars());
     for c in f.iter() {
         engine.add_soft(c.lits().iter().copied());
